@@ -23,7 +23,7 @@ The loop keeps the probes' read-only contract.  On **netsim**,
 :func:`watch_world` advances the world's own virtual clock between
 sweeps (``world.run_for``) and probes in-process — fully
 deterministic, so two watches of the same seed produce byte-identical
-journals (modulo nothing).  On **realnet**, :func:`watch_fleet` pumps
+journals (modulo nothing).  On **realnet**, :func:`watch_fleet` runs
 one long-lived :class:`~repro.realnet.fabric.AsyncioFabric` on
 wall-clock intervals and dials each host's ``__status__`` service.
 Both drivers converge on one :class:`Watcher` state machine, so the
@@ -207,11 +207,11 @@ def watch_fleet(registry_path: str,
 
     One :class:`~repro.realnet.fabric.AsyncioFabric` lives for the
     whole watch (reused across sweeps via the probe's ``fabric``
-    parameter); between sweeps the loop is pumped for ``interval_ms``
-    of wall-clock time, so in-flight dials keep progressing while the
-    watcher waits.  ``recorder`` is optional — pass one (with a
-    trigger engine attached) to get ``WATCH_EDGE`` events and
-    ``ops:watch-onset`` alerts, exactly as on netsim.
+    parameter); between sweeps the loop runs for ``interval_ms`` of
+    wall-clock time, blocked in the selector, so in-flight dials keep
+    progressing while the watcher waits.  ``recorder`` is optional —
+    pass one (with a trigger engine attached) to get ``WATCH_EDGE``
+    events and ``ops:watch-onset`` alerts, exactly as on netsim.
     """
     from ..realnet.fabric import AsyncioFabric
     from ..realnet.registry import HostRegistry

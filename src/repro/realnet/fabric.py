@@ -2,11 +2,21 @@
 
 One :class:`AsyncioFabric` per OS process owns one asyncio event loop.
 Nothing here runs on background threads: the loop advances only while
-someone pumps it — a serve process pumps it forever, a client pumps it
+someone runs it — a serve process runs it forever, a client runs it
 inside :meth:`AsyncioFabric.run_until_true` exactly the way the
 simulator backend advances virtual time inside the same call.  That
 keeps the protocol stack's callback model identical on both backends:
 callbacks fire while the caller is blocked in ``run_until_true``.
+
+The wait is event-driven, not polled.  ``run_until_true`` checks its
+predicate, then parks the loop on a wake future (plus one timer at the
+deadline) and checks again only when the future resolves.  The wake
+rule: every path by which the loop runs protocol-stack code must call
+:meth:`AsyncioFabric.notify` once that code has run — ``schedule``'d
+timers, ``RealEndpoint.dispatch`` and ``_closed``, every outcome of a
+dial, and the acceptor call of ``RealNode._accept_connection``.  A new
+realnet callback path that skips ``notify()`` leaves a waiting client
+asleep until its deadline.
 
 The clock is wall time in milliseconds since the fabric was built, so
 span tracers (which only need a ``now_ms``) produce real latency
@@ -26,10 +36,6 @@ from .framing import FrameDecoder, encode_frame
 from .node import RealEndpoint
 from .registry import HostRegistry
 
-#: How long one pump of the event loop lasts inside ``run_until_true``
-#: (the latency floor for noticing a predicate became true).
-_PUMP_S = 0.002
-
 
 class AsyncioFabric(Fabric):
     """Fabric over real TCP sockets (see :mod:`repro.core.fabric`)."""
@@ -48,6 +54,8 @@ class AsyncioFabric(Fabric):
         self.loop = loop if loop is not None else asyncio.new_event_loop()
         self._epoch = time.monotonic()
         self.tracer = None
+        #: the future a parked ``run_until_true`` waits on, else None.
+        self._wake: Optional[asyncio.Future] = None
 
     # -- clock and timers ------------------------------------------------
 
@@ -57,8 +65,12 @@ class AsyncioFabric(Fabric):
 
     def schedule(self, delay_ms: float, callback: Callable, *args,
                  label: str = "", owner=None):
-        return self.loop.call_later(max(0.0, delay_ms) / 1000.0,
-                                    callback, *args)
+        def fire():
+            try:
+                callback(*args)
+            finally:
+                self.notify()
+        return self.loop.call_later(max(0.0, delay_ms) / 1000.0, fire)
 
     def cancel(self, handle) -> None:
         if handle is not None:
@@ -66,12 +78,36 @@ class AsyncioFabric(Fabric):
 
     def run_until_true(self, predicate: Callable[[], bool],
                        timeout_ms: float = 600_000.0) -> bool:
-        deadline = time.monotonic() + timeout_ms / 1000.0
-        while not predicate():
-            if time.monotonic() >= deadline:
-                return False
-            self.loop.run_until_complete(asyncio.sleep(_PUMP_S))
-        return True
+        if predicate():
+            return True
+        loop = self.loop
+        # The timer, not a clock comparison, ends the wait: asyncio may
+        # fire it up to one clock tick before its deadline.
+        expired = []
+
+        def expire():
+            expired.append(True)
+            self.notify()
+
+        timer = loop.call_at(loop.time() + timeout_ms / 1000.0, expire)
+        try:
+            while True:
+                self._wake = loop.create_future()
+                loop.run_until_complete(self._wake)
+                if predicate():
+                    return True
+                if expired:
+                    return False
+        finally:
+            timer.cancel()
+            self._wake = None
+
+    def notify(self) -> None:
+        """Wake a parked ``run_until_true`` to re-check its predicate
+        (a no-op when nobody waits).  See the module's wake rule."""
+        wake = self._wake
+        if wake is not None and not wake.done():
+            wake.set_result(None)
 
     # -- observability ---------------------------------------------------
 
@@ -96,8 +132,10 @@ class AsyncioFabric(Fabric):
         refuses the service.  ``setup_ms`` is ignored (the handshake
         has real cost here).
         """
-        return self.loop.create_task(self._dial(
+        task = self.loop.create_task(self._dial(
             src, dst, service, payload, on_established, on_failed))
+        task.add_done_callback(lambda _task: self.notify())
+        return task
 
     async def _dial(self, src: str, dst: str, service: str, payload,
                     on_established, on_failed) -> None:

@@ -37,8 +37,9 @@ def serve_host(host_name: str, registry_path: str,
 
     Returns a process exit status (0 on a clean run).  When
     ``ready_line`` is set, prints ``READY <host> <port>`` to stdout
-    once the listener is bound — launchers wait on that line rather
-    than polling the registry.
+    once the listener is bound, for a human or script watching the
+    process.  ``launch_hosts`` does not read it: it discards stdout
+    and polls the registry every 50 ms until the host has published.
     """
     if share_circuits is None:
         share_circuits = os.environ.get("REPRO_CIRCUIT_SHARING") == "1"

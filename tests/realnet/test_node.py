@@ -1,7 +1,8 @@
 """In-process realnet tests: one fabric dialling its own listener.
 
 Everything here runs on a single asyncio loop — the node and the
-client share the fabric, and ``run_until_true`` pumps both sides, so
+client share the fabric, and ``run_until_true`` runs the loop for both
+sides (each side's callbacks wake the wait; see ``realnet.fabric``), so
 the tests exercise real sockets without spawning processes.
 """
 
@@ -171,3 +172,32 @@ def test_node_close_withdraws_registry_entry(fabric):
     assert fabric.registry.lookup("alpha") is not None
     node.close()
     assert fabric.registry.lookup("alpha") is None
+
+
+def test_node_forgets_endpoints_once_closed(fabric, node):
+    """Accepted endpoints leave the node's set when either side closes
+    them; only the ones still open stay referenced."""
+    server_side = []
+    node.listen("cycle", lambda endpoint, payload:
+                server_side.append(endpoint))
+    kept = None
+    clients = []        # the caller holds its endpoints, as PPMClient does
+    for cycle in range(20):
+        holder = {}
+        fabric.connect("tester", "alpha", "cycle",
+                       on_established=lambda ep: (holder.update(ep=ep),
+                                                  clients.append(ep)))
+        assert fabric.run_until_true(
+            lambda: "ep" in holder and len(server_side) == cycle + 1,
+            timeout_ms=5_000)
+        if cycle == 7:
+            kept = server_side[-1]
+        elif cycle % 2:
+            server_side[-1].close()
+            assert fabric.run_until_true(lambda: not holder["ep"].open,
+                                         timeout_ms=5_000)
+        else:
+            holder["ep"].close()
+        assert fabric.run_until_true(
+            lambda: node._accepted == {kept} - {None}, timeout_ms=5_000)
+    assert kept.open and node._accepted == {kept}
