@@ -64,7 +64,7 @@ class AsyncioFabric(Fabric):
         return (time.monotonic() - self._epoch) * 1000.0
 
     def schedule(self, delay_ms: float, callback: Callable, *args,
-                 label: str = "", owner=None):
+                 label: str = ""):
         def fire():
             try:
                 callback(*args)

@@ -78,3 +78,40 @@ def test_unbind_stops_delivery():
     dgram.send("a", "b", "lpm", "x")
     sim.run_for(1_000.0)
     assert received == []
+
+
+def test_ping_pong_after_idle_stretch_under_distant_timer():
+    # An idle run_for while a timer is pending far in the future must
+    # not disturb the next exchange: the ping is issued at the current
+    # instant, found, and answered, and the distant timer stays queued.
+    sim = Simulator(seed=3)
+    net = Network(sim)
+    names = ["a", "b", "c", "d"]
+    for name in names:
+        net.add_node(name)
+    net.ethernet(names, latency_ms=5.0)
+    dgram = DatagramTransport(net)
+    inbox = {name: [] for name in names}
+
+    def on_b(payload, src):
+        inbox["b"].append(payload)
+        dgram.send("b", src, "p", "pong")
+
+    for name in names:
+        if name == "b":
+            dgram.bind(name, "p", on_b)
+        else:
+            dgram.bind(name, "p",
+                       lambda payload, src, _n=name:
+                       inbox[_n].append(payload))
+    sim.schedule_at(600_000.0, lambda: None, label="distant")
+
+    sim.run_for(1_000.0)
+    assert sim.now_ms == 1_000.0
+    sim.schedule_at(sim.now_ms, lambda: dgram.send("a", "b", "p", "ping"))
+    assert sim.run_until_true(lambda: len(inbox["a"]) == 1,
+                              timeout_ms=60_000.0)
+    assert sum(len(received) for received in inbox.values()) == 2
+    assert inbox["b"] == ["ping"] and inbox["a"] == ["pong"]
+    assert 1_000.0 < sim.now_ms < 600_000.0
+    assert len(sim.queue) == 1

@@ -115,6 +115,10 @@ def test_run_until_true_times_out():
     sim = Simulator()
     sim.schedule(10_000.0, lambda: None)
     assert not sim.run_until_true(lambda: False, timeout_ms=100.0)
+    # A timeout leaves the clock at the last executed event (none ran
+    # here), not at the deadline, and the later event stays queued.
+    assert sim.now_ms == 0.0
+    assert len(sim.queue) == 1
 
 
 def test_run_until_true_immediate():

@@ -58,7 +58,7 @@ def drive(n_aggressors, seed=13):
             record=lambda op, ms: victim_hists[op].record(ms),
             on_done=finished)
         world.fabric.schedule(1_000.0 + i * VICTIM_GAP_MS,
-                              session.start, owner=victim_home,
+                              session.start,
                               label="victim session %d" % i)
 
     # Aggressors: every session creates on and gathers across *all*
@@ -74,7 +74,7 @@ def drive(n_aggressors, seed=13):
             expected += 1
             world.fabric.schedule(
                 500.0 + k * VICTIM_GAP_MS + j * 700.0,
-                session.start, owner=home,
+                session.start,
                 label="aggressor %s session %d" % (user, k))
 
     world.run_for(HORIZON_MS)
